@@ -19,8 +19,8 @@ package ssa
 // -benchmem). BenchmarkMarketSteadyStateTALU is the same measurement
 // under the Section IV threshold-algorithm + logical-updates path,
 // also allocation-free; its per-auction work scales with winners and
-// due triggers rather than n, so it must beat RH at large n (the
-// acceptance bar recorded in BENCH_ENGINE.json).
+// due triggers rather than n, so it overtakes RH as n grows (the
+// measured RH/TALU ratio is recorded in BENCH_ENGINE.json).
 //
 // BenchmarkMarketSteadyStateHeavy, …HeavyParallel, …VCG, and
 // …HeavyVCG extend the same allocation-free steady-state measurement

@@ -15,7 +15,11 @@
 //
 // Without -w the merged document is printed to stdout for review.
 // Benchmark names are recorded without the trailing -GOMAXPROCS
-// suffix, matching the baseline's convention. Standard metrics map to
+// suffix, matching the baseline's convention; the suffix is stamped
+// into the row's procs field instead (1 when absent, as go test omits
+// it at GOMAXPROCS=1). Repeated runs of one name (-count N) fold into
+// one row: ns_per_op is their median, ns_per_op_min/ns_per_op_max
+// their spread and runs their number. Standard metrics map to
 // the baseline's keys (ns/op → ns_per_op, B/op → bytes_per_op,
 // allocs/op → allocs_per_op) and the engine's custom metrics keep
 // their names with dashes flattened (qps, p99-ns → p99_ns).
@@ -29,6 +33,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -40,6 +45,10 @@ type Row struct {
 	Name        string   `json:"name"`
 	Iterations  int64    `json:"iterations,omitempty"`
 	NsPerOp     float64  `json:"ns_per_op,omitempty"`
+	NsPerOpMin  float64  `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax  float64  `json:"ns_per_op_max,omitempty"`
+	Runs        int      `json:"runs,omitempty"`
+	Procs       int      `json:"procs,omitempty"`
 	Qps         *float64 `json:"qps,omitempty"`
 	P99Ns       *float64 `json:"p99_ns,omitempty"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
@@ -61,7 +70,7 @@ type File struct {
 
 // benchLine matches one `go test -bench` result line: the name (with
 // its -P procs suffix), the iteration count, and the metric tail.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*\S)\s*$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*\S)\s*$`)
 
 // parseBench extracts rows from go-test benchmark output. Non-result
 // lines (goos/pkg headers, PASS, progress output) are skipped.
@@ -74,12 +83,17 @@ func parseBench(r io.Reader) ([]Row, error) {
 		if m == nil {
 			continue
 		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
+		iters, err := strconv.ParseInt(m[3], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("benchrecord: bad iteration count in %q: %v", sc.Text(), err)
 		}
-		row := Row{Name: m[1], Iterations: iters}
-		fields := strings.Fields(m[3])
+		row := Row{Name: m[1], Iterations: iters, Procs: 1}
+		if m[2] != "" {
+			if row.Procs, err = strconv.Atoi(m[2]); err != nil {
+				return nil, fmt.Errorf("benchrecord: bad procs suffix in %q: %v", sc.Text(), err)
+			}
+		}
+		fields := strings.Fields(m[4])
 		if len(fields)%2 != 0 {
 			return nil, fmt.Errorf("benchrecord: odd metric tail in %q", sc.Text())
 		}
@@ -115,10 +129,60 @@ func parseBench(r io.Reader) ([]Row, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("benchrecord: no benchmark result lines found")
 	}
-	return rows, nil
+	return fold(rows)
 }
 
 func ptr(f float64) *float64 { return &f }
+
+// fold merges the repeated runs of each benchmark name (go test
+// -count N) into one row, in first-appearance order. The row is the
+// run of lower-median ns/op (its iterations, qps and p99 stand), with
+// ns_per_op replaced by the median over runs, the ns/op extremes and
+// run count recorded beside it, and bytes/allocs per op taken as the
+// maximum over runs, so a recorded 0 means no run allocated. Runs of
+// one name at different GOMAXPROCS are an error: the baseline keys
+// rows by name alone.
+func fold(rows []Row) ([]Row, error) {
+	var names []string
+	runs := make(map[string][]Row)
+	for _, r := range rows {
+		if prev, ok := runs[r.Name]; !ok {
+			names = append(names, r.Name)
+		} else if prev[0].Procs != r.Procs {
+			return nil, fmt.Errorf("benchrecord: %s measured at GOMAXPROCS %d and %d; record one -cpu value at a time",
+				r.Name, prev[0].Procs, r.Procs)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	out := make([]Row, 0, len(names))
+	for _, name := range names {
+		rs := runs[name]
+		sort.SliceStable(rs, func(a, b int) bool { return rs[a].NsPerOp < rs[b].NsPerOp })
+		mid := len(rs) / 2
+		row := rs[(len(rs)-1)/2]
+		if len(rs)%2 == 0 {
+			row.NsPerOp = (rs[mid-1].NsPerOp + rs[mid].NsPerOp) / 2
+		}
+		row.Runs = len(rs)
+		if len(rs) > 1 {
+			row.NsPerOpMin, row.NsPerOpMax = rs[0].NsPerOp, rs[len(rs)-1].NsPerOp
+		}
+		for _, r := range rs {
+			row.BytesPerOp = maxPtr(row.BytesPerOp, r.BytesPerOp)
+			row.AllocsPerOp = maxPtr(row.AllocsPerOp, r.AllocsPerOp)
+		}
+		out = append(out, row)
+	}
+	return out, nil
+}
+
+// maxPtr returns the larger of two optional metrics.
+func maxPtr(a, b *float64) *float64 {
+	if a == nil || (b != nil && *b > *a) {
+		return b
+	}
+	return a
+}
 
 // merge folds the measured rows into doc: rows with matching names
 // are updated in place (measured metrics overwrite, hand annotations
@@ -141,6 +205,9 @@ func merge(doc *File, rows []Row) (updated, added int) {
 		dst := &doc.Results[i]
 		dst.Iterations = row.Iterations
 		dst.NsPerOp = row.NsPerOp
+		dst.NsPerOpMin, dst.NsPerOpMax = row.NsPerOpMin, row.NsPerOpMax
+		dst.Runs = row.Runs
+		dst.Procs = row.Procs
 		if row.Qps != nil {
 			dst.Qps = row.Qps
 		}

@@ -128,3 +128,82 @@ func TestRunRoundTrip(t *testing.T) {
 		t.Fatalf("summary line wrong: %q", stderr.String())
 	}
 }
+
+const countBench = `pkg: repro
+BenchmarkMarketSteadyStateRH/n=1000-2         	    7400	    152000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkMarketSteadyStateTALU/n=1000-2       	    9000	    100000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkMarketSteadyStateRH/n=1000-2         	    7100	    160000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkMarketSteadyStateTALU/n=1000-2       	    9100	     98000 ns/op	       8 B/op	       1 allocs/op
+BenchmarkMarketSteadyStateRH/n=1000-2         	    7900	    140000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkMarketSteadyStateTALU/n=1000-2       	    8800	    104000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkMarketSteadyStateTALU/n=1000-2       	    8700	    106000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSingle                               	     100	      5000 ns/op
+PASS
+`
+
+// TestParseFoldsRepeatedRuns: -count N output folds into one row per
+// name with the median ns/op, its spread, the run count and the procs
+// suffix, instead of silently keeping the last run.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	rows, err := parseBench(strings.NewReader(countBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("folded into %d rows, want 3: %+v", len(rows), rows)
+	}
+	rh, talu, single := rows[0], rows[1], rows[2]
+	if rh.Name != "BenchmarkMarketSteadyStateRH/n=1000" || talu.Name != "BenchmarkMarketSteadyStateTALU/n=1000" {
+		t.Fatalf("first-appearance order lost: %q, %q", rh.Name, talu.Name)
+	}
+	// Odd count: the median run stands whole.
+	if rh.NsPerOp != 152000 || rh.Iterations != 7400 || rh.Runs != 3 ||
+		rh.NsPerOpMin != 140000 || rh.NsPerOpMax != 160000 || rh.Procs != 2 {
+		t.Fatalf("odd-count fold wrong: %+v", rh)
+	}
+	// Even count: the median averages the middle pair; the other
+	// metrics come from the lower-median run, allocs from the worst.
+	if talu.NsPerOp != 102000 || talu.Iterations != 9000 || talu.Runs != 4 ||
+		talu.NsPerOpMin != 98000 || talu.NsPerOpMax != 106000 || talu.Procs != 2 {
+		t.Fatalf("even-count fold wrong: %+v", talu)
+	}
+	if *talu.AllocsPerOp != 1 || *talu.BytesPerOp != 8 {
+		t.Fatalf("an allocating run was hidden by the fold: %+v", talu)
+	}
+	// No suffix means GOMAXPROCS=1; a single run records no spread.
+	if single.Procs != 1 || single.Runs != 1 || single.NsPerOpMin != 0 || single.NsPerOpMax != 0 {
+		t.Fatalf("single-run row wrong: %+v", single)
+	}
+	mixed := "BenchmarkX-2 10 5 ns/op\nBenchmarkX-4 10 6 ns/op\n"
+	if _, err := parseBench(strings.NewReader(mixed)); err == nil {
+		t.Fatal("runs at different GOMAXPROCS folded into one row")
+	}
+}
+
+// TestMergeReplacesSpread: re-recording a row overwrites its spread,
+// run count and procs, so a single later run leaves no stale extremes.
+func TestMergeReplacesSpread(t *testing.T) {
+	doc := &File{Results: []Row{{Name: "BenchmarkSingle", NsPerOp: 7000,
+		NsPerOpMin: 6000, NsPerOpMax: 9000, Runs: 5, Procs: 4, Note: "kept"}}}
+	rows, err := parseBench(strings.NewReader(countBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if updated, added := merge(doc, rows); updated != 1 || added != 2 {
+		t.Fatalf("updated=%d added=%d, want 1/2", updated, added)
+	}
+	got := doc.Results[0]
+	if got.NsPerOp != 5000 || got.NsPerOpMin != 0 || got.NsPerOpMax != 0 ||
+		got.Runs != 1 || got.Procs != 1 || got.Note != "kept" {
+		t.Fatalf("re-recorded row wrong: %+v", got)
+	}
+	data, err := json.Marshal(doc.Results[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"ns_per_op":152000`, `"ns_per_op_min":140000`, `"ns_per_op_max":160000`, `"runs":3`, `"procs":2`} {
+		if !strings.Contains(string(data), key) {
+			t.Fatalf("serialized row %s lacks %s", data, key)
+		}
+	}
+}

@@ -27,11 +27,16 @@ func spendStatus(spentTotal float64, t float64, target int) int {
 
 // Accounting is the provider-maintained advertiser state (Section
 // II-B notes amounts spent, budgets, and per-keyword ROI are
-// maintained by the search provider for every program).
+// maintained by the search provider for every program). Writes go
+// through charge, which keeps each advertiser's ROI extrema cached:
+// only a charged advertiser's ROIs change, so the per-auction program
+// evaluations read the extrema instead of rescanning every keyword.
 type Accounting struct {
 	SpentTotal []float64   // per advertiser
 	SpentKw    [][]float64 // per advertiser, keyword
 	GainedKw   [][]float64 // per advertiser, keyword
+
+	maxROI, minROI []float64 // per advertiser, over its keywords
 }
 
 func newAccounting(n, keywords int) *Accounting {
@@ -39,12 +44,25 @@ func newAccounting(n, keywords int) *Accounting {
 		SpentTotal: make([]float64, n),
 		SpentKw:    make([][]float64, n),
 		GainedKw:   make([][]float64, n),
+		maxROI:     make([]float64, n),
+		minROI:     make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		a.SpentKw[i] = make([]float64, keywords)
 		a.GainedKw[i] = make([]float64, keywords)
+		a.maxROI[i], a.minROI[i] = roi(0, 0), roi(0, 0)
 	}
 	return a
+}
+
+// charge records one click by advertiser i on keyword q: price is
+// added to its total and keyword spend, value to its keyword gain, and
+// its cached ROI extrema are rescanned.
+func (a *Accounting) charge(i, q int, price, value float64) {
+	a.SpentTotal[i] += price
+	a.SpentKw[i][q] += price
+	a.GainedKw[i][q] += value
+	a.maxROI[i], a.minROI[i] = a.scanROIRange(i)
 }
 
 // ROIOf returns the smoothed ROI of advertiser i on keyword q — the
@@ -54,8 +72,13 @@ func (a *Accounting) ROIOf(i, q int) float64 {
 }
 
 // roiRange returns the max and min smoothed ROI over advertiser i's
-// keywords.
+// keywords, as cached by the last charge.
 func (a *Accounting) roiRange(i int) (maxR, minR float64) {
+	return a.maxROI[i], a.minROI[i]
+}
+
+// scanROIRange computes roiRange afresh from the per-keyword state.
+func (a *Accounting) scanROIRange(i int) (maxR, minR float64) {
 	maxR, minR = a.ROIOf(i, 0), a.ROIOf(i, 0)
 	for q := 1; q < len(a.SpentKw[i]); q++ {
 		r := a.ROIOf(i, q)

@@ -46,8 +46,10 @@
 // bounded overspend; see that package's doc).
 //
 // Memory: each market carries full-width per-advertiser state (the
-// Figure 5 strategy's roiRange scans every keyword's ROI, so a market
-// equivalent to a sequential World cannot drop the other columns),
+// Figure 5 strategy steers by the max and min ROI over every keyword,
+// which Accounting caches per advertiser and rescans across all
+// keywords on each charge, so a market equivalent to a sequential
+// World cannot drop the other columns),
 // making the engine O(n·keywords²) overall. That is comfortable at
 // the Section V catalog size (10 keywords) the engine currently
 // targets; keyword-scoped markets for large catalogs are a ROADMAP

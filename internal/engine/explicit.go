@@ -7,8 +7,12 @@ import (
 
 // explicitEngine evaluates every bidding program on every auction:
 // the straightforward implementation of the Section II flow, used by
-// methods LP, H, and RH. Its per-auction cost is Θ(n·keywords) before
-// winner determination even starts — the cost Section IV eliminates.
+// methods LP, H, and RH. Its per-auction cost is Θ(n) program
+// evaluations before winner determination even starts — the cost
+// Section IV eliminates. Each evaluation is O(1): the ROI extrema the
+// Figure 5 guards compare against are cached by Accounting.charge, so
+// only the clicked winners' keywords are rescanned (O(clicks·keywords)
+// per auction).
 type explicitEngine struct {
 	inst *workload.Instance
 	bid  [][]int // bid[i][q], integral by construction

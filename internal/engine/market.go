@@ -431,9 +431,9 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 			}
 		case MethodRH:
 			// The scalable serving path: workspace-backed top-(k+1)
-			// selection and reduced assignment, zero allocations in
-			// steady state.
-			lists = m.ws.SelectCandidates(m.Inst.N, k, k+1, score)
+			// selection in one row-major pass over the advertisers, then
+			// the reduced assignment, zero allocations in steady state.
+			lists = m.ws.SelectCandidatesRows(m.Inst.N, k, k+1, m.Inst.ClickProb, m.bidf)
 			m.ws.AssignCandidatesInto(score, lists, out.AdvOf)
 			advOf = out.AdvOf
 		case MethodRHParallel:
@@ -590,9 +590,7 @@ func (m *Market) RunWeighted(q int, rel, w float64) *Outcome {
 		out.Clicked[j] = true
 		price := out.PricePerClick[j]
 		out.Revenue += price
-		m.acct.SpentTotal[i] += price
-		m.acct.SpentKw[i][q] += price
-		m.acct.GainedKw[i][q] += float64(m.Inst.Value[i][q])
+		m.acct.charge(i, q, price, float64(m.Inst.Value[i][q]))
 		if m.lane != nil {
 			// Report the identical value the accounting recorded, so
 			// the lane's cumulative array stays bitwise equal to

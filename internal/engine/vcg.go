@@ -84,8 +84,9 @@ func (m *Market) solveWithout(skip int) float64 {
 		// The RH family (RH, RH-parallel, RHTALU): the reduced solve of
 		// Section III-E, exactly core.Determiner's MethodReduced — depth-k
 		// candidate lists over the surviving advertisers, then the
-		// workspace assignment.
-		lists := m.vcgWS.SelectCandidates(n-1, k, k, m.vcgWeightFn)
+		// workspace assignment. The row kernel renumbers the surviving
+		// advertisers exactly as vcgWeightFn does.
+		lists := m.vcgWS.SelectCandidatesRowsWithout(n, k, k, m.Inst.ClickProb, m.bidf, skip)
 		return m.vcgWS.AssignCandidatesInto(m.vcgWeightFn, lists, m.vcgAdvOf)
 	}
 }

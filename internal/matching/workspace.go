@@ -32,6 +32,12 @@ type Workspace struct {
 	heapK int
 	lists [][]topk.Item
 	advOf []int
+
+	// SelectCandidatesRows scratch: one bounded heap per slot (on one
+	// backing array) and each full heap's cached minimum score.
+	slotHeaps []topk.Heap
+	slotThr   []float64
+	slotDepth int
 }
 
 // NewWorkspace returns an empty workspace; buffers are grown on first
@@ -204,8 +210,8 @@ func (ws *Workspace) AssignCandidatesInto(weight func(i, j int) float64, lists [
 // SelectCandidates fills per-slot top-depth candidate lists for n
 // advertisers into workspace-owned storage, reusing the bounded heap
 // and the per-slot backing arrays. The returned slice (and the lists
-// inside it) are valid until the next SelectCandidates or
-// MaxWeightReduced call on ws.
+// inside it) are valid until the next SelectCandidates,
+// SelectCandidatesRows or MaxWeightReduced call on ws.
 func (ws *Workspace) SelectCandidates(n, k, depth int, weight func(i, j int) float64) [][]topk.Item {
 	if ws.heap == nil || ws.heapK != depth {
 		ws.heap = topk.NewHeap(depth)
@@ -219,6 +225,83 @@ func (ws *Workspace) SelectCandidates(n, k, depth int, weight func(i, j int) flo
 		jj := j
 		ws.lists[j] = topk.SelectInto(ws.heap, ws.lists[j][:0], n,
 			func(i int) float64 { return weight(i, jj) })
+	}
+	return ws.lists
+}
+
+// SelectCandidatesRows is SelectCandidates for the separable weight
+// cp[i][j]·bid[i], computed in one ascending pass over the advertisers
+// instead of one pass per slot: each advertiser's bid and contiguous
+// click-probability row are read once and offered to all k slot heaps.
+// The returned lists equal SelectCandidates(n, k, depth, weight) with
+// weight(i, j) = cp[i][j]*bid[i], ties and zero scores included, and
+// share its storage and validity.
+func (ws *Workspace) SelectCandidatesRows(n, k, depth int, cp [][]float64, bid []float64) [][]topk.Item {
+	return ws.SelectCandidatesRowsWithout(n, k, depth, cp, bid, n)
+}
+
+// SelectCandidatesRowsWithout is SelectCandidatesRows over the n-1
+// advertisers other than skip, renumbered as if row skip were deleted
+// (IDs below skip keep theirs, IDs above it drop by one) — the reduced
+// instance of a VCG counterfactual. A skip outside [0, n) skips
+// nothing.
+//
+// Within one slot the advertisers are offered in ascending ID order,
+// so every retained ID is smaller than the one being offered; under
+// the heap's tie order a full heap therefore admits an item iff its
+// score is strictly greater than the heap minimum. The kernel checks
+// that against the cached minimum before touching the heap, which
+// keeps the rejected majority of the n·k offers to one multiply and
+// one compare.
+func (ws *Workspace) SelectCandidatesRowsWithout(n, k, depth int, cp [][]float64, bid []float64, skip int) [][]topk.Item {
+	if len(ws.slotHeaps) != k || ws.slotDepth != depth {
+		ws.slotHeaps = topk.NewHeaps(k, depth)
+		ws.slotThr = make([]float64, k)
+		ws.slotDepth = depth
+	}
+	heaps, thr := ws.slotHeaps, ws.slotThr
+	for j := range heaps {
+		heaps[j].Reset()
+	}
+	// Until depth advertisers have been offered no heap is full, so
+	// every score is admitted.
+	i, id := 0, 0
+	for ; i < n && id < depth; i++ {
+		if i == skip {
+			continue
+		}
+		b := bid[i]
+		for j, c := range cp[i][:k] {
+			heaps[j].Offer(topk.Item{ID: id, Score: c * b})
+		}
+		id++
+	}
+	if id == depth {
+		for j := range heaps {
+			thr[j] = heaps[j].Min().Score
+		}
+	}
+	for ; i < n; i++ {
+		if i == skip {
+			continue
+		}
+		b := bid[i]
+		row := cp[i][:k]
+		thr := thr[:len(row)]
+		for j, c := range row {
+			if s := c * b; s > thr[j] {
+				heaps[j].Offer(topk.Item{ID: id, Score: s})
+				thr[j] = heaps[j].Min().Score
+			}
+		}
+		id++
+	}
+	if cap(ws.lists) < k {
+		ws.lists = make([][]topk.Item, k)
+	}
+	ws.lists = ws.lists[:k]
+	for j := range heaps {
+		ws.lists[j] = heaps[j].DrainDesc(ws.lists[j][:0])
 	}
 	return ws.lists
 }

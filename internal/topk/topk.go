@@ -30,6 +30,21 @@ func NewHeap(k int) *Heap {
 	return &Heap{k: k, items: make([]Item, 0, k)}
 }
 
+// NewHeaps returns count bounded heaps, each retaining the k
+// highest-scored items, carved from one backing array so heaps filled
+// side by side share cache lines. k must be positive.
+func NewHeaps(count, k int) []Heap {
+	if k <= 0 {
+		panic("topk: NewHeaps requires k > 0")
+	}
+	buf := make([]Item, count*k)
+	hs := make([]Heap, count)
+	for j := range hs {
+		hs[j] = Heap{k: k, items: buf[j*k : j*k : (j+1)*k]}
+	}
+	return hs
+}
+
 // less orders the heap so the *smallest* (and, among equals, the
 // highest-ID, to make eviction deterministic) item sits at the root.
 func less(a, b Item) bool {
