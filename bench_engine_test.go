@@ -277,8 +277,8 @@ func BenchmarkMarketSteadyStateVCG(b *testing.B) {
 
 // BenchmarkMarketSteadyStateHeavyVCG is the engine's most expressive
 // configuration — heavyweight winner determination and Vickrey
-// pricing, one counterfactual 2^k enumeration per winner — also
-// allocation-free once warm (TestHeavyVCGSteadyStateAllocs).
+// pricing, every winner's counterfactual scored in one sweep over the
+// 2^k patterns — also allocation-free once warm (TestHeavyVCGSteadyStateAllocs).
 func BenchmarkMarketSteadyStateHeavyVCG(b *testing.B) {
 	benchMarketSteadyStateCfg(b, "n=150", func() *SimInstance {
 		return GenerateHeavyInstance(42, 150, 4, DefaultKeywords, 0.2, 0.3)

@@ -17,9 +17,13 @@
 // Benchmark names are recorded without the trailing -GOMAXPROCS
 // suffix, matching the baseline's convention; the suffix is stamped
 // into the row's procs field instead (1 when absent, as go test omits
-// it at GOMAXPROCS=1). Repeated runs of one name (-count N) fold into
-// one row: ns_per_op is their median, ns_per_op_min/ns_per_op_max
-// their spread and runs their number. Standard metrics map to
+// it at GOMAXPROCS=1), and the host from the output's cpu:, goos: and
+// goarch: header lines into its cpu, goos and goarch fields. Repeated
+// runs of one name (-count N) fold into one row: ns_per_op is their
+// median, ns_per_op_min/ns_per_op_max their spread and runs their
+// number. Runs on different CPU models never mix: folding them, or
+// merging a measurement into a row recorded on another CPU model, is
+// an error. Standard metrics map to
 // the baseline's keys (ns/op → ns_per_op, B/op → bytes_per_op,
 // allocs/op → allocs_per_op) and the engine's custom metrics keep
 // their names with dashes flattened (qps, p99-ns → p99_ns).
@@ -49,6 +53,9 @@ type Row struct {
 	NsPerOpMax  float64  `json:"ns_per_op_max,omitempty"`
 	Runs        int      `json:"runs,omitempty"`
 	Procs       int      `json:"procs,omitempty"`
+	CPU         string   `json:"cpu,omitempty"`
+	Goos        string   `json:"goos,omitempty"`
+	Goarch      string   `json:"goarch,omitempty"`
 	Qps         *float64 `json:"qps,omitempty"`
 	P99Ns       *float64 `json:"p99_ns,omitempty"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
@@ -72,14 +79,28 @@ type File struct {
 // its -P procs suffix), the iteration count, and the metric tail.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*\S)\s*$`)
 
-// parseBench extracts rows from go-test benchmark output. Non-result
-// lines (goos/pkg headers, PASS, progress output) are skipped.
+// parseBench extracts rows from go-test benchmark output, stamping
+// each with the most recent cpu:, goos: and goarch: header values
+// (go test prints them once per package). Other non-result lines
+// (pkg headers, PASS, progress output) are skipped.
 func parseBench(r io.Reader) ([]Row, error) {
 	var rows []Row
+	var host Row
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		line := sc.Text()
+		if key, val, ok := strings.Cut(line, ": "); ok {
+			switch key {
+			case "cpu":
+				host.CPU = strings.TrimSpace(val)
+			case "goos":
+				host.Goos = strings.TrimSpace(val)
+			case "goarch":
+				host.Goarch = strings.TrimSpace(val)
+			}
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
@@ -87,7 +108,8 @@ func parseBench(r io.Reader) ([]Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("benchrecord: bad iteration count in %q: %v", sc.Text(), err)
 		}
-		row := Row{Name: m[1], Iterations: iters, Procs: 1}
+		row := Row{Name: m[1], Iterations: iters, Procs: 1,
+			CPU: host.CPU, Goos: host.Goos, Goarch: host.Goarch}
 		if m[2] != "" {
 			if row.Procs, err = strconv.Atoi(m[2]); err != nil {
 				return nil, fmt.Errorf("benchrecord: bad procs suffix in %q: %v", sc.Text(), err)
@@ -140,8 +162,8 @@ func ptr(f float64) *float64 { return &f }
 // ns_per_op replaced by the median over runs, the ns/op extremes and
 // run count recorded beside it, and bytes/allocs per op taken as the
 // maximum over runs, so a recorded 0 means no run allocated. Runs of
-// one name at different GOMAXPROCS are an error: the baseline keys
-// rows by name alone.
+// one name at different GOMAXPROCS or on different CPU models are an
+// error: the baseline keys rows by name alone.
 func fold(rows []Row) ([]Row, error) {
 	var names []string
 	runs := make(map[string][]Row)
@@ -151,6 +173,9 @@ func fold(rows []Row) ([]Row, error) {
 		} else if prev[0].Procs != r.Procs {
 			return nil, fmt.Errorf("benchrecord: %s measured at GOMAXPROCS %d and %d; record one -cpu value at a time",
 				r.Name, prev[0].Procs, r.Procs)
+		} else if prev[0].CPU != r.CPU {
+			return nil, fmt.Errorf("benchrecord: %s measured on CPU %q and %q; fold runs from one host only",
+				r.Name, prev[0].CPU, r.CPU)
 		}
 		runs[r.Name] = append(runs[r.Name], r)
 	}
@@ -188,11 +213,23 @@ func maxPtr(a, b *float64) *float64 {
 // are updated in place (measured metrics overwrite, hand annotations
 // survive, and a metric absent from the new measurement — e.g. no
 // -benchmem — keeps its recorded value), new names append in
-// measurement order. Returns the counts for the summary line.
-func merge(doc *File, rows []Row) (updated, added int) {
+// measurement order. Returns the counts for the summary line. A row
+// stamped with a CPU model is only updated by a measurement on the
+// same model (one without a cpu: header cannot show that); otherwise
+// merge fails and leaves doc untouched, since the two numbers are not
+// comparable. Rows recorded before host stamping take the new stamp.
+func merge(doc *File, rows []Row) (updated, added int, err error) {
 	index := make(map[string]int, len(doc.Results))
 	for i, r := range doc.Results {
 		index[r.Name] = i
+	}
+	for _, row := range rows {
+		if i, ok := index[row.Name]; ok {
+			if old := doc.Results[i].CPU; old != "" && old != row.CPU {
+				return 0, 0, fmt.Errorf("benchrecord: %s is recorded on CPU %q, refusing to merge a run on %q",
+					row.Name, old, row.CPU)
+			}
+		}
 	}
 	for _, row := range rows {
 		i, ok := index[row.Name]
@@ -208,6 +245,7 @@ func merge(doc *File, rows []Row) (updated, added int) {
 		dst.NsPerOpMin, dst.NsPerOpMax = row.NsPerOpMin, row.NsPerOpMax
 		dst.Runs = row.Runs
 		dst.Procs = row.Procs
+		dst.CPU, dst.Goos, dst.Goarch = row.CPU, row.Goos, row.Goarch
 		if row.Qps != nil {
 			dst.Qps = row.Qps
 		}
@@ -222,7 +260,7 @@ func merge(doc *File, rows []Row) (updated, added int) {
 		}
 		updated++
 	}
-	return updated, added
+	return updated, added, nil
 }
 
 // load reads the baseline document, or starts a fresh one when the
@@ -278,7 +316,10 @@ func run(benchPath, jsonPath, date, filter string, write bool, stdout, stderr io
 	if err != nil {
 		return err
 	}
-	updated, added := merge(doc, rows)
+	updated, added, err := merge(doc, rows)
+	if err != nil {
+		return err
+	}
 	if date != "" {
 		doc.Date = date
 	}

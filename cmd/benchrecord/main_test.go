@@ -64,7 +64,10 @@ func TestMergePreservesAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	updated, added := merge(doc, rows)
+	updated, added, err := merge(doc, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if updated != 1 || added != 2 {
 		t.Fatalf("updated=%d added=%d, want 1/2", updated, added)
 	}
@@ -189,8 +192,8 @@ func TestMergeReplacesSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if updated, added := merge(doc, rows); updated != 1 || added != 2 {
-		t.Fatalf("updated=%d added=%d, want 1/2", updated, added)
+	if updated, added, err := merge(doc, rows); err != nil || updated != 1 || added != 2 {
+		t.Fatalf("updated=%d added=%d err=%v, want 1/2", updated, added, err)
 	}
 	got := doc.Results[0]
 	if got.NsPerOp != 5000 || got.NsPerOpMin != 0 || got.NsPerOpMax != 0 ||
@@ -205,5 +208,127 @@ func TestMergeReplacesSpread(t *testing.T) {
 		if !strings.Contains(string(data), key) {
 			t.Fatalf("serialized row %s lacks %s", data, key)
 		}
+	}
+}
+
+const twoHostBench = `goos: linux
+goarch: amd64
+pkg: repro
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkA-2    100    5000 ns/op
+PASS
+goos: darwin
+goarch: arm64
+pkg: repro/internal/core
+cpu: Apple M2
+BenchmarkB-2    100    7000 ns/op
+PASS
+`
+
+// TestParseStampsHost: every row carries the cpu:, goos: and goarch:
+// header values of the package block it was printed in.
+func TestParseStampsHost(t *testing.T) {
+	rows, err := parseBench(strings.NewReader(twoHostBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("parsed %d rows, want 2", len(rows))
+	}
+	if a := rows[0]; a.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || a.Goos != "linux" || a.Goarch != "amd64" {
+		t.Fatalf("first block's host wrong: %+v", a)
+	}
+	if b := rows[1]; b.CPU != "Apple M2" || b.Goos != "darwin" || b.Goarch != "arm64" {
+		t.Fatalf("second block's host wrong: %+v", b)
+	}
+	data, err := json.Marshal(rows[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"cpu":"Intel(R) Xeon(R) Processor @ 2.10GHz"`, `"goos":"linux"`, `"goarch":"amd64"`} {
+		if !strings.Contains(string(data), key) {
+			t.Fatalf("serialized row %s lacks %s", data, key)
+		}
+	}
+	// Header-less output parses, with no host stamped.
+	if rows, err := parseBench(strings.NewReader("BenchmarkX 10 5 ns/op\n")); err != nil || rows[0].CPU != "" {
+		t.Fatalf("header-less output: rows=%+v err=%v", rows, err)
+	}
+}
+
+// TestFoldRefusesMixedCPUs: -count repeats of one name recorded on two
+// CPU models must not fold into one median.
+func TestFoldRefusesMixedCPUs(t *testing.T) {
+	mixed := "cpu: Intel(R) Xeon(R) Processor\nBenchmarkX-2 10 5 ns/op\n" +
+		"cpu: AMD EPYC 7B13\nBenchmarkX-2 10 6 ns/op\n"
+	_, err := parseBench(strings.NewReader(mixed))
+	if err == nil || !strings.Contains(err.Error(), "AMD EPYC 7B13") {
+		t.Fatalf("runs on two CPU models folded: err = %v", err)
+	}
+}
+
+// TestMergeRefusesOtherCPU: a row stamped with one CPU model is never
+// overwritten by a run on another (or on an unknown one); the document
+// is left untouched, and run writes nothing. A row recorded before
+// host stamping takes the new stamp.
+func TestMergeRefusesOtherCPU(t *testing.T) {
+	const xeon = "Intel(R) Xeon(R) Processor @ 2.10GHz"
+	fresh := func() *File {
+		return &File{Results: []Row{
+			{Name: "BenchmarkA", NsPerOp: 1, CPU: "Apple M2", Goos: "darwin", Goarch: "arm64"},
+			{Name: "BenchmarkB", NsPerOp: 2},
+		}}
+	}
+	rows, err := parseBench(strings.NewReader(sampleBench + "BenchmarkA-2 10 9 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := fresh()
+	if _, _, err := merge(doc, rows); err == nil || !strings.Contains(err.Error(), "Apple M2") {
+		t.Fatalf("merge across CPU models accepted: err = %v", err)
+	}
+	if len(doc.Results) != 2 || doc.Results[0].NsPerOp != 1 || doc.Results[0].CPU != "Apple M2" {
+		t.Fatalf("refused merge modified the document: %+v", doc.Results)
+	}
+	unknown, err := parseBench(strings.NewReader("BenchmarkA 10 9 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := merge(fresh(), unknown); err == nil {
+		t.Fatal("merge of a run on an unknown CPU into a stamped row accepted")
+	}
+
+	same, err := parseBench(strings.NewReader("cpu: Apple M2\ngoos: darwin\nBenchmarkA 10 9 ns/op\n" +
+		"cpu: " + xeon + "\ngoos: linux\ngoarch: amd64\nBenchmarkB-2 10 8 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc = fresh()
+	if updated, added, err := merge(doc, same); err != nil || updated != 2 || added != 0 {
+		t.Fatalf("same-host merge: updated=%d added=%d err=%v", updated, added, err)
+	}
+	if a := doc.Results[0]; a.NsPerOp != 9 || a.CPU != "Apple M2" {
+		t.Fatalf("same-CPU row not updated: %+v", a)
+	}
+	if b := doc.Results[1]; b.NsPerOp != 8 || b.CPU != xeon || b.Goos != "linux" || b.Goarch != "amd64" {
+		t.Fatalf("legacy row not stamped: %+v", b)
+	}
+
+	dir := t.TempDir()
+	benchPath := filepath.Join(dir, "bench.out")
+	jsonPath := filepath.Join(dir, "BENCH_ENGINE.json")
+	seed := `{"name": "engine-baseline", "results": [{"name": "BenchmarkEngineThroughput/n=1000/workers=1", "ns_per_op": 1, "cpu": "Apple M2"}]}`
+	if err := os.WriteFile(benchPath, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jsonPath, []byte(seed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	if err := run(benchPath, jsonPath, "", "", true, &stdout, &stderr); err == nil {
+		t.Fatal("run merged across CPU models")
+	}
+	if data, err := os.ReadFile(jsonPath); err != nil || string(data) != seed {
+		t.Fatalf("refused run rewrote the baseline: %s (%v)", data, err)
 	}
 }

@@ -23,10 +23,14 @@ type HeavyAuction struct {
 
 // validate checks the structural preconditions of heavyweight winner
 // determination: a bounded slot count (the enumeration is 2^k), a
-// well-formed base model covering every advertiser, and bids inside
-// the 1-dependent fragment (heavyweight predicates are allowed — they
-// condition on the class pattern, not on individuals).
-func (h *HeavyAuction) validate() error {
+// well-formed base model covering every advertiser and slot, a
+// pattern-factor table (if any) covering every slot and pattern, and
+// bids inside the 1-dependent fragment (heavyweight predicates are
+// allowed — they condition on the class pattern, not on
+// individuals). A non-nil patternFree (one entry per advertiser)
+// receives, for each advertiser, whether no bid row references
+// Heavy_j.
+func (h *HeavyAuction) validate(patternFree []bool) error {
 	if h.Slots < 0 || h.Slots > 20 {
 		return fmt.Errorf("core: heavyweight enumeration needs 0 ≤ k ≤ 20, got %d", h.Slots)
 	}
@@ -39,9 +43,26 @@ func (h *HeavyAuction) validate() error {
 	if got := h.Model.Base.Advertisers(); got != len(h.Advertisers) {
 		return fmt.Errorf("core: model covers %d advertisers, auction has %d", got, len(h.Advertisers))
 	}
+	if got := h.Model.Base.Slots(); got < h.Slots && len(h.Advertisers) > 0 {
+		return fmt.Errorf("core: model covers %d slots, auction has %d", got, h.Slots)
+	}
+	if f := h.Model.Factor; f != nil && h.Slots > 0 {
+		if len(f) < h.Slots {
+			return fmt.Errorf("core: pattern factor table covers %d slots, auction has %d", len(f), h.Slots)
+		}
+		for j := 0; j < h.Slots; j++ {
+			if len(f[j]) < 1<<uint(h.Slots-1) {
+				return fmt.Errorf("core: pattern factor row %d has %d entries, want %d", j, len(f[j]), 1<<uint(h.Slots-1))
+			}
+		}
+	}
 	for i := range h.Advertisers {
-		if m, _ := h.Advertisers[i].Bids.MaxDependence(); m > 1 {
+		m, heavy := h.Advertisers[i].Bids.MaxDependence()
+		if m > 1 {
 			return fmt.Errorf("advertiser %s: %w", h.Advertisers[i].ID, ErrNotOneDependent)
+		}
+		if patternFree != nil {
+			patternFree[i] = !heavy
 		}
 	}
 	return nil
@@ -60,7 +81,7 @@ func (h *HeavyAuction) validate() error {
 // skipped (the allocation they would produce is scored under the
 // pattern that matches its true heavyweight placement).
 func (h *HeavyAuction) Determine(parallel bool) (*Result, error) {
-	if err := h.validate(); err != nil {
+	if err := h.validate(nil); err != nil {
 		return nil, err
 	}
 

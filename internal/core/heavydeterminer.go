@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/formula"
 	"repro/internal/matching"
-	"repro/internal/probmodel"
 	"repro/internal/topk"
 )
 
@@ -25,8 +24,8 @@ import (
 // (same enumeration order, same matrix construction, same tie
 // handling), which the equivalence tests pin exactly.
 //
-// Two serving-path optimizations ride on top of the plain
-// enumeration, both outcome-preserving (see DESIGN.md, "Heavy path at
+// Three serving-path optimizations ride on top of the plain
+// enumeration, all outcome-preserving (see DESIGN.md, "Heavy path at
 // scale"):
 //
 //   - Pattern-parallel solving: the per-pattern solves are
@@ -46,15 +45,22 @@ import (
 //     constant's maxAbs must see every entry to stay bit-identical —
 //     but the superlinear assignment solve runs on O(k²) rows
 //     instead of n.
+//   - A per-call payment memo: an advertiser whose bids never
+//     reference Heavy_j owes the same amount under every pattern, so
+//     each call evaluates its bid table once per (slot, click,
+//     purchase) outcome and every pattern reads the stored values.
 //
 // Like Determiner, a HeavyDeterminer is not safe for concurrent use
 // (its internal pool parallelism is invisible to callers).
 // Structural validation is cached per (auction pointer, advertiser
-// count, slot count): callers that mutate bid *values* in place
-// between calls (the serving engine's pattern) skip revalidation, but
-// swapping in different formulas, models, or Heavy flags under the
-// same auction pointer is the caller's contract to revalidate — pass
-// a fresh auction value (or call Invalidate) when the shape changes.
+// count, slot count), and so are the memo's per-advertiser
+// pattern-free flags: callers that mutate bid *values* in place
+// between calls (the serving engine's pattern) skip revalidation —
+// the memo's values are refilled on every call — but swapping in
+// different formulas, models, or Heavy flags under the same auction
+// pointer is the caller's contract to revalidate: pass a fresh
+// auction value, or call Invalidate, when anything but bid values
+// changes.
 type HeavyDeterminer struct {
 	// parallelism is the resolved worker count (≥ 1); solvers holds one
 	// heavySolver per worker, with solvers[0] doubling as the
@@ -66,27 +72,116 @@ type HeavyDeterminer struct {
 	pool        *heavyPool
 	released    bool
 
-	heavyIdx, lightIdx []int
+	// job is the enumeration input every worker reads. It is its own
+	// allocation so the pool can share it without keeping the
+	// determiner reachable.
+	job *heavyJob
 
-	// Validation cache: DetermineInto skips structural validation when
-	// the auction pointer and shape match the last validated call.
+	// Validation cache: DetermineInto and VCGPaymentsInto skip
+	// structural validation (and keep the memo's pattern-free flags)
+	// when the auction pointer and shape match the last validated call.
 	lastH *HeavyAuction
 	lastN int
 	lastK int
 
-	// VCG counterfactual state: a persistent sub-auction (advertiser,
-	// probability-row, and class slices reused across solves) and a
-	// nested determiner that owns its enumeration scratch.
-	vals        []float64
-	subAdvs     []Advertiser
-	subClick    [][]float64
-	subPurchase [][]float64
-	subIsHeavy  []bool
-	subModel    probmodel.HeavyModel
-	subBase     probmodel.Model
-	subAuction  HeavyAuction
-	subRes      Result
-	sub         *HeavyDeterminer
+	// vals holds each advertiser's realized value during VCG pricing.
+	vals []float64
+}
+
+// heavyJob is one enumeration's read-only input, published to the
+// pool workers before they are woken.
+type heavyJob struct {
+	h                  *HeavyAuction
+	patterns           int
+	heavyIdx, lightIdx []int
+	memo               paymentMemo
+
+	// maxHeavySlots is the most heavyweight slots any auction of the
+	// job can fill; patterns with more are skipped unfilled.
+	maxHeavySlots int
+
+	// vcg selects the counterfactual sweep: each pattern is scored once
+	// per winner with that winner's row removed, instead of once for
+	// the full auction.
+	vcg     bool
+	winners []vcgWinner
+}
+
+// vcgWinner locates one winner of the priced allocation: its
+// advertiser index, its class, and its row in that class's board.
+type vcgWinner struct {
+	adv   int
+	heavy bool
+	row   int
+}
+
+// paymentMemo holds one call's bid-table payments for the advertisers
+// whose bids never reference the heavyweight pattern. For them
+// Bids.Payment ignores Outcome.HeavySlots, so the values evaluated
+// once per call equal what every pattern would compute.
+type paymentMemo struct {
+	// free is cached with validation: free[i] iff no bid row of
+	// advertiser i references Heavy_j.
+	free []bool
+	k    int
+	// base[i] is the unplaced payment; pay[(i*k+j)*3+c] the payment in
+	// slot j with no click (c=0), a click (1), or click and purchase (2).
+	base []float64
+	pay  []float64
+}
+
+// fill re-evaluates the memo for h's current bid values. Bid values
+// change in place between auctions, so it runs on every call.
+func (m *paymentMemo) fill(h *HeavyAuction) {
+	n, k := len(h.Advertisers), h.Slots
+	m.k = k
+	m.base = growF(m.base, n)
+	m.pay = growF(m.pay, n*k*3)
+	for i := range h.Advertisers {
+		if !m.free[i] {
+			continue
+		}
+		bids := h.Advertisers[i].Bids
+		m.base[i] = bids.Payment(formula.Outcome{})
+		pay := m.pay[i*k*3 : (i+1)*k*3]
+		for j := 0; j < k; j++ {
+			slot := j + 1
+			pay[3*j] = bids.Payment(formula.Outcome{Slot: slot})
+			pay[3*j+1] = bids.Payment(formula.Outcome{Slot: slot, Clicked: true})
+			pay[3*j+2] = bids.Payment(formula.Outcome{Slot: slot, Clicked: true, Purchased: true})
+		}
+	}
+}
+
+// baseline is advertiser i's unplaced payment under pattern.
+func (m *paymentMemo) baseline(h *HeavyAuction, i int, pattern uint64) float64 {
+	if m.free[i] {
+		return m.base[i]
+	}
+	return h.Advertisers[i].Bids.Payment(formula.Outcome{HeavySlots: pattern})
+}
+
+// expected is h.expectedPaymentPattern(i, j, pattern), reading the
+// memo for pattern-free advertisers: the same products and additions
+// in the same order, so the result is bit-identical.
+func (m *paymentMemo) expected(h *HeavyAuction, i, j int, pattern uint64) float64 {
+	if !m.free[i] {
+		return h.expectedPaymentPattern(i, j, pattern)
+	}
+	w := h.Model.ClickProb(i, j, pattern)
+	q := h.Model.PurchaseProb(i, j, pattern)
+	pay := m.pay[(i*m.k+j)*3:]
+	var total float64
+	if p := 1 - w; p > 0 {
+		total += p * pay[0]
+	}
+	if p := w * (1 - q); p > 0 {
+		total += p * pay[1]
+	}
+	if p := w * q; p > 0 {
+		total += p * pay[2]
+	}
+	return total
 }
 
 // NewHeavyDeterminer returns a sequential determiner with empty
@@ -111,6 +206,7 @@ func NewHeavyDeterminerParallel(parallelism int) *HeavyDeterminer {
 	d := &HeavyDeterminer{
 		parallelism: parallelism,
 		solvers:     make([]*heavySolver, parallelism),
+		job:         &heavyJob{},
 	}
 	for i := range d.solvers {
 		d.solvers[i] = newHeavySolver()
@@ -121,19 +217,18 @@ func NewHeavyDeterminerParallel(parallelism int) *HeavyDeterminer {
 // Parallelism reports the determiner's resolved worker count.
 func (d *HeavyDeterminer) Parallelism() int { return d.parallelism }
 
-// Invalidate drops the cached structural validation, forcing the next
-// DetermineInto to revalidate. Call it after changing an auction's
-// formulas, model, or Heavy flags in place.
+// Invalidate drops the cached structural validation and pattern-free
+// flags, forcing the next call to revalidate. Call it after changing
+// an auction's formulas, model, or Heavy flags in place.
 func (d *HeavyDeterminer) Invalidate() { d.lastH = nil }
 
 // Release stops the determiner's pooled goroutines (a parallel
-// determiner parks parallelism−1 workers between calls) and those of
-// its nested VCG determiner. Idempotent; must not race an in-flight
-// Determine, and a released determiner must not be used again. A
-// finalizer calls Release for determiners dropped without one, so
-// leaking a determiner leaks no goroutines permanently — Release just
-// makes the reclamation deterministic (the serving engine calls it
-// when a market is rebuilt or closed).
+// determiner parks parallelism−1 workers between calls). Idempotent;
+// must not race an in-flight call, and a released determiner must not
+// be used again. A finalizer calls Release for determiners dropped
+// without one, so leaking a determiner leaks no goroutines
+// permanently — Release just makes the reclamation deterministic (the
+// serving engine calls it when a market is rebuilt or closed).
 func (d *HeavyDeterminer) Release() {
 	if d.released {
 		return
@@ -142,9 +237,6 @@ func (d *HeavyDeterminer) Release() {
 	if d.pool != nil {
 		close(d.pool.stop)
 		runtime.SetFinalizer(d, nil)
-	}
-	if d.sub != nil {
-		d.sub.Release()
 	}
 }
 
@@ -192,49 +284,48 @@ func (d *HeavyDeterminer) Determine(h *HeavyAuction) (*Result, error) {
 	return res, nil
 }
 
+// prepare validates h (through the cache), partitions its advertisers
+// into heavyweights and lightweights, refills the payment memo, and
+// sets up a primary enumeration — the entry step of every call.
+func (d *HeavyDeterminer) prepare(h *HeavyAuction) error {
+	n := len(h.Advertisers)
+	job := d.job
+	if h != d.lastH || n != d.lastN || h.Slots != d.lastK {
+		if cap(job.memo.free) < n {
+			job.memo.free = make([]bool, n)
+		}
+		job.memo.free = job.memo.free[:n]
+		// A failed validation may have overwritten some flags, so it
+		// must not leave an earlier auction's cache entry standing.
+		d.lastH = nil
+		if err := h.validate(job.memo.free); err != nil {
+			return err
+		}
+		d.lastH, d.lastN, d.lastK = h, n, h.Slots
+	}
+	job.heavyIdx, job.lightIdx = job.heavyIdx[:0], job.lightIdx[:0]
+	for i := range h.Advertisers {
+		if h.Advertisers[i].Heavy {
+			job.heavyIdx = append(job.heavyIdx, i)
+		} else {
+			job.lightIdx = append(job.lightIdx, i)
+		}
+	}
+	job.maxHeavySlots = len(job.heavyIdx)
+	job.vcg, job.winners = false, job.winners[:0]
+	job.memo.fill(h)
+	return nil
+}
+
 // DetermineInto is Determine writing into a caller-owned Result whose
 // AdvOf/SlotOf slices are reused when large enough — the serving
 // engine's allocation-free entry point.
 func (d *HeavyDeterminer) DetermineInto(h *HeavyAuction, res *Result) error {
-	if h != d.lastH || len(h.Advertisers) != d.lastN || h.Slots != d.lastK {
-		if err := h.validate(); err != nil {
-			return err
-		}
-		d.lastH, d.lastN, d.lastK = h, len(h.Advertisers), h.Slots
+	if err := d.prepare(h); err != nil {
+		return err
 	}
 	n, k := len(h.Advertisers), h.Slots
-
-	d.heavyIdx, d.lightIdx = d.heavyIdx[:0], d.lightIdx[:0]
-	for i := range h.Advertisers {
-		if h.Advertisers[i].Heavy {
-			d.heavyIdx = append(d.heavyIdx, i)
-		} else {
-			d.lightIdx = append(d.lightIdx, i)
-		}
-	}
-
-	// Patterns are enumerated in ascending order under the
-	// deterministic (highest revenue, lowest pattern index) argmax —
-	// the same winner the sequential HeavyAuction.Determine scan's
-	// strict > running best selects. With no heavyweight advertisers
-	// only pattern 0 can be consistent (every other pattern has a
-	// heavyweight slot nobody can fill), so the enumeration collapses
-	// to the flat single-matching path.
-	patterns := 1 << uint(k)
-	if len(d.heavyIdx) == 0 {
-		patterns = 1
-	}
-	for _, s := range d.solvers {
-		s.resetBest(n, k)
-	}
-	if d.parallelism == 1 || patterns == 1 {
-		s := d.solvers[0]
-		for p := 0; p < patterns; p++ {
-			s.solvePattern(h, uint64(p), d.heavyIdx, d.lightIdx)
-		}
-	} else {
-		d.runParallel(h, patterns)
-	}
+	d.enumerate(h)
 
 	// Merge the per-worker local bests. Each worker claimed patterns
 	// in ascending order and kept the lowest pattern attaining its
@@ -242,11 +333,7 @@ func (d *HeavyDeterminer) DetermineInto(h *HeavyAuction, res *Result) error {
 	// scan regardless of how the atomic claims interleaved.
 	var best *heavySolver
 	for _, s := range d.solvers {
-		if !s.bestOK {
-			continue
-		}
-		if best == nil || s.bestRev > best.bestRev ||
-			(s.bestRev == best.bestRev && s.bestPattern < best.bestPattern) {
+		if s.best.ok && (best == nil || s.best.beats(best.best)) {
 			best = s
 		}
 	}
@@ -265,9 +352,37 @@ func (d *HeavyDeterminer) DetermineInto(h *HeavyAuction, res *Result) error {
 			res.SlotOf[i] = j
 		}
 	}
-	res.ExpectedRevenue = best.bestRev
+	res.ExpectedRevenue = best.best.rev
 	res.Method = MethodHeavy2K
 	return nil
+}
+
+// enumerate runs the prepared job for h over every pattern,
+// sequentially or on the pool. Patterns are enumerated in ascending
+// order under the deterministic (highest revenue, lowest pattern
+// index) argmax — the same winner the sequential
+// HeavyAuction.Determine scan's strict > running best selects. With
+// no heavyweight advertisers only pattern 0 can be consistent (every
+// other pattern has a heavyweight slot nobody can fill), so the
+// enumeration collapses to the flat single-matching path.
+func (d *HeavyDeterminer) enumerate(h *HeavyAuction) {
+	job := d.job
+	job.h = h
+	job.patterns = 1 << uint(h.Slots)
+	if len(job.heavyIdx) == 0 {
+		job.patterns = 1
+	}
+	for _, s := range d.solvers {
+		s.reset(job)
+	}
+	if d.parallelism == 1 || job.patterns == 1 {
+		for p := 0; p < job.patterns; p++ {
+			d.solvers[0].solvePattern(job, uint64(p))
+		}
+	} else {
+		d.runParallel()
+	}
+	job.h = nil // drop the auction reference between calls
 }
 
 // runParallel fans one enumeration across the persistent pool,
@@ -275,9 +390,10 @@ func (d *HeavyDeterminer) DetermineInto(h *HeavyAuction, res *Result) error {
 // (solvers[0]), so parallelism goroutines in total claim patterns
 // from the shared atomic counter; the call allocates nothing once the
 // pool exists.
-func (d *HeavyDeterminer) runParallel(h *HeavyAuction, patterns int) {
+func (d *HeavyDeterminer) runParallel() {
 	if d.pool == nil {
 		p := &heavyPool{
+			job:  d.job,
 			stop: make(chan struct{}),
 			wake: make([]chan struct{}, len(d.solvers)-1),
 		}
@@ -286,14 +402,12 @@ func (d *HeavyDeterminer) runParallel(h *HeavyAuction, patterns int) {
 			go p.worker(d.solvers[w+1], p.wake[w])
 		}
 		d.pool = p
-		// The workers reference the pool and the solvers, never the
-		// determiner, so an abandoned determiner stays collectable;
-		// the finalizer then stops its goroutines.
+		// The workers reference the pool, the job and the solvers,
+		// never the determiner, so an abandoned determiner stays
+		// collectable; the finalizer then stops its goroutines.
 		runtime.SetFinalizer(d, (*HeavyDeterminer).Release)
 	}
 	p := d.pool
-	p.h, p.patterns = h, patterns
-	p.heavyIdx, p.lightIdx = d.heavyIdx, d.lightIdx
 	p.next.Store(0)
 	p.wg.Add(len(p.wake))
 	for _, c := range p.wake {
@@ -301,37 +415,32 @@ func (d *HeavyDeterminer) runParallel(h *HeavyAuction, patterns int) {
 	}
 	p.claim(d.solvers[0])
 	p.wg.Wait()
-	p.h = nil // drop the auction reference between calls
 }
 
 // heavyPool is the persistent worker set behind a parallel
 // HeavyDeterminer: parallelism−1 goroutines parked on buffered
 // per-worker wake channels, a shared atomic pattern-claim counter,
-// and the job fields the coordinator publishes before waking (the
-// channel send orders the publication before the worker's reads, and
+// and the job the coordinator fills before waking them (the channel
+// send orders the job's publication before the worker's reads, and
 // wg.Done orders the worker's solver writes before the coordinator's
 // merge).
 type heavyPool struct {
+	job  *heavyJob
 	stop chan struct{}
 	wake []chan struct{}
 	wg   sync.WaitGroup
 	next atomic.Int64
-
-	h        *HeavyAuction
-	patterns int
-	heavyIdx []int
-	lightIdx []int
 }
 
 // claim pulls patterns off the shared counter until the enumeration
-// is exhausted, folding each into s's local best.
+// is exhausted, folding each into s's local bests.
 func (p *heavyPool) claim(s *heavySolver) {
 	for {
 		pat := p.next.Add(1) - 1
-		if pat >= int64(p.patterns) {
+		if pat >= int64(p.job.patterns) {
 			return
 		}
-		s.solvePattern(p.h, uint64(pat), p.heavyIdx, p.lightIdx)
+		s.solvePattern(p.job, uint64(pat))
 	}
 }
 
@@ -347,19 +456,51 @@ func (p *heavyPool) worker(s *heavySolver, wake <-chan struct{}) {
 	}
 }
 
+// patternBest is a running argmax under the deterministic reduction
+// rule: highest revenue, lowest pattern index on exact ties.
+type patternBest struct {
+	ok      bool
+	rev     float64
+	pattern uint64
+}
+
+// beats reports whether b is preferred to o (b.ok assumed).
+func (b patternBest) beats(o patternBest) bool {
+	return !o.ok || b.rev > o.rev || (b.rev == o.rev && b.pattern < o.pattern)
+}
+
+// offer folds a consistent pattern's revenue into b, reporting whether
+// it became the new best.
+func (b *patternBest) offer(rev float64, pattern uint64) bool {
+	c := patternBest{ok: true, rev: rev, pattern: pattern}
+	if !c.beats(*b) {
+		return false
+	}
+	*b = c
+	return true
+}
+
 // heavySolver is the per-worker half of a HeavyDeterminer: every
 // scratch buffer one pattern solve touches — slot partitions, the
 // baseline vector, both weight matrices, the reduced-matching
-// candidate machinery, and a matching.Workspace — plus a local
-// running argmax, so parallel workers share nothing mutable.
+// candidate machinery, and a matching.Workspace — plus local running
+// argmaxes, so parallel workers share nothing mutable.
 type heavySolver struct {
 	ws *matching.Workspace
 
 	heavySlots, lightSlots []int
-	base                   []float64
 
-	heavyFlat, lightFlat []float64
-	heavyRows, lightRows [][]float64
+	// base and rowMax are indexed by advertiser: the unplaced payment
+	// under the current pattern, and the largest |w| in the
+	// advertiser's row of its class board.
+	base, rowMax []float64
+
+	// The unforced heavy and light boards, filled once per pattern;
+	// forcedRows is the forcing-shifted heavy sub-board of one solve,
+	// and lightSub a row view of the light board with one row dropped.
+	heavyFlat, lightFlat, forcedFlat []float64
+	heavyRows, lightRows, forcedRows [][]float64
+	lightSub                         [][]float64
 
 	heavyAdvOf, lightAdvOf []int
 	curAdvOf               []int
@@ -374,38 +515,46 @@ type heavySolver struct {
 	stamp int
 	cands []int
 
-	// Local argmax under the deterministic reduction rule: highest
-	// revenue, lowest pattern index on exact ties.
-	bestOK      bool
-	bestRev     float64
-	bestPattern uint64
-	bestAdvOf   []int
+	// best and bestAdvOf are the primary enumeration's local argmax;
+	// cf[w] is the local argmax of the auction without job.winners[w].
+	best      patternBest
+	bestAdvOf []int
+	cf        []patternBest
 }
 
 func newHeavySolver() *heavySolver {
 	return &heavySolver{ws: matching.NewWorkspace()}
 }
 
-// resetBest clears the local argmax before an enumeration and sizes
-// the per-pattern buffers for n advertisers and k slots.
-func (s *heavySolver) resetBest(n, k int) {
-	s.bestOK = false
-	s.bestRev = math.Inf(-1)
-	s.bestPattern = 0
+// reset clears the local argmaxes before an enumeration and sizes the
+// per-pattern buffers for the job.
+func (s *heavySolver) reset(job *heavyJob) {
+	n, k := len(job.h.Advertisers), job.h.Slots
+	s.best = patternBest{}
 	s.base = growF(s.base, n)
+	s.rowMax = growF(s.rowMax, n)
 	s.curAdvOf = growI(s.curAdvOf, k)
 	s.bestAdvOf = growI(s.bestAdvOf, k)
+	if cap(s.cf) < len(job.winners) {
+		s.cf = make([]patternBest, len(job.winners))
+	}
+	s.cf = s.cf[:len(job.winners)]
+	for w := range s.cf {
+		s.cf[w] = patternBest{}
+	}
 }
 
-// solvePattern scores one heavyweight-slot pattern — mirroring
-// HeavyAuction.solvePattern operation for operation: baseline sums,
-// weight-matrix fill order, the shared forcing constant, the two
-// Jonker–Volgenant sub-matchings, and the revenue summation order are
-// all identical — and folds a consistent pattern into the solver's
-// local best. The sub-matchings run candidate-reduced when the board
-// is tall enough (matchReduced), which preserves the exact optimum.
-func (s *heavySolver) solvePattern(h *HeavyAuction, pattern uint64, heavyIdx, lightIdx []int) {
-	k := h.Slots
+// solvePattern scores one heavyweight-slot pattern and folds it into
+// the solver's local bests. The primary enumeration scores the full
+// auction — mirroring HeavyAuction.solvePattern operation for
+// operation: baseline sums, weight fill order, the shared forcing
+// constant, the two sub-matchings, and the revenue summation order
+// are all identical. The VCG sweep scores, from the same boards, the
+// auction without each winner in turn — exactly what a fresh
+// determiner would compute on the sub-auction with that advertiser's
+// row deleted (DESIGN.md, "VCG pricing").
+func (s *heavySolver) solvePattern(job *heavyJob, pattern uint64) {
+	k := job.h.Slots
 	s.heavySlots, s.lightSlots = s.heavySlots[:0], s.lightSlots[:0]
 	for j := 0; j < k; j++ {
 		if pattern&(1<<uint(j)) != 0 {
@@ -414,90 +563,163 @@ func (s *heavySolver) solvePattern(h *HeavyAuction, pattern uint64, heavyIdx, li
 			s.lightSlots = append(s.lightSlots, j)
 		}
 	}
-	if len(s.heavySlots) > len(heavyIdx) {
-		return // cannot fill every heavyweight slot
+	if len(s.heavySlots) > job.maxHeavySlots {
+		return // no auction of the job can fill every heavyweight slot
 	}
+	nh, nl := len(job.heavyIdx), len(job.lightIdx)
+	s.fill(job, pattern)
 
-	baseOutcome := formula.Outcome{HeavySlots: pattern}
-	var baseline float64
-	base := s.base
+	// The forcing constant's maxAbs is a maximum over every entry of
+	// both boards — order-independent — so it is taken over the row
+	// maxima; the top two make "every row but one" O(1).
+	var max1, max2 float64
+	arg1 := -1
+	for i, m := range s.rowMax {
+		if m > max1 {
+			max1, max2, arg1 = m, max1, i
+		} else if m > max2 {
+			max2 = m
+		}
+	}
+	n := len(job.h.Advertisers)
+
+	if !job.vcg {
+		var baseline float64
+		for _, b := range s.base {
+			baseline += b
+		}
+		if rev, ok := s.score(job, n, baseline, max1, nh, nl); ok && s.best.offer(rev, pattern) {
+			copy(s.bestAdvOf, s.curAdvOf)
+		}
+		return
+	}
+	for wi, w := range job.winners {
+		if w.heavy && len(s.heavySlots) > nh-1 {
+			continue
+		}
+		// Re-summed in ascending order: baseline − base[w] would not be
+		// the sub-auction's sum bit for bit.
+		var baseline float64
+		for i, b := range s.base {
+			if i != w.adv {
+				baseline += b
+			}
+		}
+		maxAbs := max1
+		if w.adv == arg1 {
+			maxAbs = max2
+		}
+		dropH, dropL := nh, nl
+		if w.heavy {
+			dropH = w.row
+		} else {
+			dropL = w.row
+		}
+		if rev, ok := s.score(job, n-1, baseline, maxAbs, dropH, dropL); ok {
+			s.cf[wi].offer(rev, pattern)
+		}
+	}
+}
+
+// fill computes, for one pattern, every advertiser's baseline payment
+// and the unforced heavy and light weight boards, in the order
+// HeavyAuction.solvePattern's buildSub visits them (heavy rows first,
+// then light), recording each row's largest |w|. Both boards are
+// always filled in full: the reduced matching still needs every
+// column materialized, and the forcing constant must see every entry
+// to stay bit-identical to the full-graph reference.
+func (s *heavySolver) fill(job *heavyJob, pattern uint64) {
+	h, memo := job.h, &job.memo
 	for i := range h.Advertisers {
-		base[i] = h.Advertisers[i].Bids.Payment(baseOutcome)
-		baseline += base[i]
+		s.base[i] = memo.baseline(h, i, pattern)
 	}
+	board := func(flat *[]float64, rows *[][]float64, idx, slots []int) {
+		bw := subMatrix(flat, rows, len(idx), len(slots))
+		for a, i := range idx {
+			var m float64
+			for sj, j := range slots {
+				w := memo.expected(h, i, j, pattern) - s.base[i]
+				if abs := math.Abs(w); abs > m {
+					m = abs
+				}
+				bw[a][sj] = w
+			}
+			s.rowMax[i] = m
+		}
+	}
+	board(&s.heavyFlat, &s.heavyRows, job.heavyIdx, s.heavySlots)
+	board(&s.lightFlat, &s.lightRows, job.lightIdx, s.lightSlots)
+}
 
-	// The sub-matrices are filled in the exact order buildSub visits
-	// them (heavy rows first, then light), with the forcing constant's
-	// maxAbs accumulated over both — only then is forcing added to the
-	// heavy side, as in the sequential path. Both matrices are always
-	// filled in full: the reduced matching below still needs every
-	// column materialized, and maxAbs must see every entry for the
-	// forcing constant (and hence the heavy-side solve) to stay
-	// bit-identical to the full-graph reference.
-	var maxAbs float64
-	hw := subMatrix(&s.heavyFlat, &s.heavyRows, len(heavyIdx), len(s.heavySlots))
-	for a, i := range heavyIdx {
-		for sj, j := range s.heavySlots {
-			w := h.expectedPaymentPattern(i, j, pattern) - base[i]
-			if abs := math.Abs(w); abs > maxAbs {
-				maxAbs = abs
-			}
-			hw[a][sj] = w
+// score solves the filled pattern for an auction of nAdv advertisers
+// whose boards are the filled ones with heavy row dropH and light row
+// dropL removed (a row index at the board's end removes nothing). The
+// forced heavy sub-board is built in scratch, the light one is a row
+// view; the sub-row → board-row map is monotone, so the candidate
+// reduction and the Jonker–Volgenant solves see the same rows in the
+// same order as on a rebuilt sub-auction. It returns the pattern's
+// revenue — baseline plus the matched unforced weights, heavy slots
+// first, then light — leaving the allocation in s.curAdvOf, and false
+// when a heavyweight slot stays empty.
+func (s *heavySolver) score(job *heavyJob, nAdv int, baseline, maxAbs float64, dropH, dropL int) (float64, bool) {
+	k := job.h.Slots
+	hs, ls := len(s.heavySlots), len(s.lightSlots)
+	forcing := (maxAbs + 1) * float64(nAdv+k+1)
+	heavyRows := len(job.heavyIdx)
+	if dropH < heavyRows {
+		heavyRows--
+	}
+	fw := subMatrix(&s.forcedFlat, &s.forcedRows, heavyRows, hs)
+	for r, row := range fw {
+		for sj, w := range s.heavyRows[skipRow(r, dropH)] {
+			row[sj] = w + forcing
 		}
 	}
-	lw := subMatrix(&s.lightFlat, &s.lightRows, len(lightIdx), len(s.lightSlots))
-	for a, i := range lightIdx {
-		for sj, j := range s.lightSlots {
-			w := h.expectedPaymentPattern(i, j, pattern) - base[i]
-			if abs := math.Abs(w); abs > maxAbs {
-				maxAbs = abs
-			}
-			lw[a][sj] = w
-		}
-	}
-	forcing := (maxAbs + 1) * float64(len(h.Advertisers)+k+1)
-	for _, row := range hw {
-		for sj := range row {
-			row[sj] += forcing
-		}
+	lw := s.lightRows
+	if dropL < len(lw) {
+		s.lightSub = append(append(s.lightSub[:0], lw[:dropL]...), lw[dropL+1:]...)
+		lw = s.lightSub
 	}
 
 	depth := k + 1
-	s.heavyAdvOf = growI(s.heavyAdvOf, len(s.heavySlots))
-	s.matchReduced(hw, len(heavyIdx), len(s.heavySlots), depth, s.heavyAdvOf)
-	for _, a := range s.heavyAdvOf {
-		if a < 0 {
-			return // a heavyweight slot stayed empty: inconsistent pattern
+	s.heavyAdvOf = growI(s.heavyAdvOf, hs)
+	s.matchReduced(fw, heavyRows, hs, depth, s.heavyAdvOf)
+	for _, r := range s.heavyAdvOf {
+		if r < 0 {
+			return 0, false // a heavyweight slot stayed empty: inconsistent pattern
 		}
 	}
-	s.lightAdvOf = growI(s.lightAdvOf, len(s.lightSlots))
-	s.matchReduced(lw, len(lightIdx), len(s.lightSlots), depth, s.lightAdvOf)
+	s.lightAdvOf = growI(s.lightAdvOf, ls)
+	s.matchReduced(lw, len(lw), ls, depth, s.lightAdvOf)
 
 	advOf := s.curAdvOf
 	for j := range advOf {
 		advOf[j] = -1
 	}
 	rev := baseline
-	for sj, ri := range s.heavyAdvOf {
-		i, j := heavyIdx[ri], s.heavySlots[sj]
-		advOf[j] = i
-		rev += h.expectedPaymentPattern(i, j, pattern) - base[i]
+	for sj, r := range s.heavyAdvOf {
+		a := skipRow(r, dropH)
+		advOf[s.heavySlots[sj]] = job.heavyIdx[a]
+		rev += s.heavyRows[a][sj]
 	}
-	for sj, ri := range s.lightAdvOf {
-		if ri < 0 {
+	for sj, r := range s.lightAdvOf {
+		if r < 0 {
 			continue
 		}
-		i, j := lightIdx[ri], s.lightSlots[sj]
-		advOf[j] = i
-		rev += h.expectedPaymentPattern(i, j, pattern) - base[i]
+		a := skipRow(r, dropL)
+		advOf[s.lightSlots[sj]] = job.lightIdx[a]
+		rev += s.lightRows[a][sj]
 	}
+	return rev, true
+}
 
-	if !s.bestOK || rev > s.bestRev || (rev == s.bestRev && pattern < s.bestPattern) {
-		s.bestOK = true
-		s.bestRev = rev
-		s.bestPattern = pattern
-		copy(s.bestAdvOf, advOf)
+// skipRow maps a row of a board with row drop removed back to the
+// full board.
+func skipRow(r, drop int) int {
+	if r >= drop {
+		return r + 1
 	}
+	return r
 }
 
 // matchReduced runs one maximum-weight sub-matching over the

@@ -152,67 +152,42 @@ func TestHeavyDeterminerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestHeavyVCGPaymentsMatchColdReference: the determiner's
-// buffer-reusing counterfactual solves must reproduce, bit for bit, a
-// cold implementation that rebuilds a fresh sub-auction and runs the
-// sequential Determine per winner.
+// TestHeavyVCGPaymentsMatchColdReference: the determiner's one-sweep
+// counterfactuals (row-dropped boards, per-winner argmaxes) must
+// reproduce, bit for bit, a cold implementation that rebuilds a fresh
+// sub-auction and runs the sequential Determine per winner. Boards up
+// to n=40 keep the reduced-matching branch (rows > k+1) and the
+// dropped-row renumbering busy; tie-engineered instances pin the
+// lowest-pattern rule; parallelism 1 and 3 cover the sequential sweep
+// and the pool.
 func TestHeavyVCGPaymentsMatchColdReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
-	d := NewHeavyDeterminer()
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(6)
-		k := 1 + rng.Intn(3)
-		h := randHeavyAuction(rng, n, k)
+	dets := []*HeavyDeterminer{NewHeavyDeterminer(), NewHeavyDeterminerParallel(3)}
+	defer dets[1].Release()
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(40)
+		k := 1 + rng.Intn(5)
+		var h *HeavyAuction
+		if trial%3 == 2 {
+			h = tieHeavyAuction(rng, n, k)
+		} else {
+			h = randHeavyAuction(rng, n, k)
+		}
 		res, err := h.Determine(false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]float64, n)
-		if err := d.VCGPaymentsInto(h, res, got); err != nil {
-			t.Fatal(err)
-		}
-
-		// Cold reference: values under the realized pattern, one fresh
-		// sub-auction per winner.
-		pattern := heavyPattern(h.Advertisers, res.AdvOf)
-		vals := make([]float64, n)
-		var total float64
-		for i := range h.Advertisers {
-			if j := res.SlotOf[i]; j >= 0 {
-				vals[i] = h.expectedPaymentPattern(i, j, pattern)
-			} else {
-				vals[i] = h.Advertisers[i].Bids.Payment(formula.Outcome{HeavySlots: pattern})
+		want := coldHeavyVCG(t, h, res)
+		for _, d := range dets {
+			got := make([]float64, n)
+			if err := d.VCGPaymentsInto(h, res, got); err != nil {
+				t.Fatal(err)
 			}
-			total += vals[i]
-		}
-		for i := 0; i < n; i++ {
-			j := res.SlotOf[i]
-			var want float64
-			if j >= 0 {
-				sub := &HeavyAuction{Slots: k, Model: &probmodel.HeavyModel{
-					Base:   &probmodel.Model{},
-					Factor: h.Model.Factor,
-				}}
-				for l := 0; l < n; l++ {
-					if l == i {
-						continue
-					}
-					sub.Advertisers = append(sub.Advertisers, h.Advertisers[l])
-					sub.Model.Base.Click = append(sub.Model.Base.Click, h.Model.Base.Click[l])
-					sub.Model.Base.Purchase = append(sub.Model.Base.Purchase, h.Model.Base.Purchase[l])
-					sub.Model.IsHeavy = append(sub.Model.IsHeavy, h.Model.IsHeavy[l])
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d (n=%d k=%d) parallelism %d advertiser %d: determiner VCG %g != cold reference %g",
+						trial, n, k, d.Parallelism(), i, got[i], want[i])
 				}
-				r, err := sub.Determine(false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = r.ExpectedRevenue - (total - vals[i])
-				if want < 0 {
-					want = 0
-				}
-			}
-			if got[i] != want {
-				t.Fatalf("trial %d advertiser %d: determiner VCG %g != cold reference %g", trial, i, got[i], want)
 			}
 		}
 
@@ -221,8 +196,55 @@ func TestHeavyVCGPaymentsMatchColdReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(wrapped, got) {
-			t.Fatalf("trial %d: VCGPayments %v != VCGPaymentsInto %v", trial, wrapped, got)
+		if !reflect.DeepEqual(wrapped, want) {
+			t.Fatalf("trial %d: VCGPayments %v != cold reference %v", trial, wrapped, want)
 		}
 	}
+}
+
+// coldHeavyVCG is the independent VCG oracle: every advertiser's value
+// under res's realized pattern, and per winner a fresh sub-auction
+// without that advertiser solved by the sequential Determine.
+func coldHeavyVCG(t *testing.T, h *HeavyAuction, res *Result) []float64 {
+	t.Helper()
+	n, k := len(h.Advertisers), h.Slots
+	pattern := heavyPattern(h.Advertisers, res.AdvOf)
+	vals := make([]float64, n)
+	var total float64
+	for i := range h.Advertisers {
+		if j := res.SlotOf[i]; j >= 0 {
+			vals[i] = h.expectedPaymentPattern(i, j, pattern)
+		} else {
+			vals[i] = h.Advertisers[i].Bids.Payment(formula.Outcome{HeavySlots: pattern})
+		}
+		total += vals[i]
+	}
+	want := make([]float64, n)
+	for i := 0; i < n; i++ {
+		if res.SlotOf[i] < 0 {
+			continue
+		}
+		sub := &HeavyAuction{Slots: k, Model: &probmodel.HeavyModel{
+			Base:   &probmodel.Model{},
+			Factor: h.Model.Factor,
+		}}
+		for l := 0; l < n; l++ {
+			if l == i {
+				continue
+			}
+			sub.Advertisers = append(sub.Advertisers, h.Advertisers[l])
+			sub.Model.Base.Click = append(sub.Model.Base.Click, h.Model.Base.Click[l])
+			sub.Model.Base.Purchase = append(sub.Model.Base.Purchase, h.Model.Base.Purchase[l])
+			sub.Model.IsHeavy = append(sub.Model.IsHeavy, h.Model.IsHeavy[l])
+		}
+		r, err := sub.Determine(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r.ExpectedRevenue - (total - vals[i])
+		if want[i] < 0 {
+			want[i] = 0
+		}
+	}
+	return want
 }

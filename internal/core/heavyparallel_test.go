@@ -294,8 +294,8 @@ func TestHeavyDeterminerDegenerate(t *testing.T) {
 }
 
 // TestHeavyParallelVCGMatches: VCG payments computed through a
-// parallel determiner (whose nested counterfactual determiner
-// inherits the pool parallelism) must equal the allocating sequential
+// parallel determiner (whose counterfactual sweep runs on the pattern
+// pool) must equal the allocating sequential
 // HeavyAuction.VCGPayments bit for bit.
 func TestHeavyParallelVCGMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(229))

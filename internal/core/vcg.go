@@ -127,10 +127,9 @@ func (a *Auction) VCGPayments(res *Result, method Method) ([]float64, error) {
 // Heavy_j is a class-level predicate, so attributing each bid to its
 // own bidder remains sound.
 //
-// One counterfactual determination runs per winner; batch callers
-// should hold a HeavyDeterminer and use its VCGPaymentsInto, which
-// reuses the enumeration scratch across the n+1 solves instead of
-// re-running cold auctions.
+// This wrapper prices through a fresh sequential HeavyDeterminer;
+// batch callers should hold one and call its VCGPaymentsInto, which
+// keeps the sweep's scratch across calls.
 func (h *HeavyAuction) VCGPayments(res *Result) ([]float64, error) {
 	payments := make([]float64, len(h.Advertisers))
 	if err := NewHeavyDeterminer().VCGPaymentsInto(h, res, payments); err != nil {
@@ -151,16 +150,35 @@ func heavyPattern(advs []Advertiser, advOf []int) uint64 {
 }
 
 // VCGPaymentsInto computes heavyweight Vickrey payments into the
-// caller-owned payments slice (length = number of advertisers),
-// running every counterfactual winner determination in the
-// determiner's cached scratch: the sub-auction's advertiser,
-// probability-row, and class slices are reused across winners and
-// across calls, and a nested determiner keeps the 2^k enumeration
-// buffers warm. Results are bit-identical to HeavyAuction.VCGPayments.
+// caller-owned payments slice (length = number of advertisers). The
+// auction is validated through the determiner's cache, and res must
+// be an allocation of it. All winners' counterfactuals come from one
+// ascending sweep over the patterns (on the pool when the determiner
+// is parallel): each pattern's boards are filled once, and each
+// winner's "without w" optimum is solved from them with w's row
+// dropped. Results are bit-identical to solving a fresh sub-auction
+// per winner with HeavyAuction.Determine.
 func (d *HeavyDeterminer) VCGPaymentsInto(h *HeavyAuction, res *Result, payments []float64) error {
-	n := len(h.Advertisers)
+	n, k := len(h.Advertisers), h.Slots
 	if len(payments) != n {
 		return fmt.Errorf("core: payments slice covers %d advertisers, auction has %d", len(payments), n)
+	}
+	if err := d.prepare(h); err != nil {
+		return err
+	}
+	if len(res.SlotOf) != n || len(res.AdvOf) != k {
+		return fmt.Errorf("core: allocation covers %d advertisers and %d slots, auction has %d and %d",
+			len(res.SlotOf), len(res.AdvOf), n, k)
+	}
+	for j, i := range res.AdvOf {
+		if i < -1 || i >= n {
+			return fmt.Errorf("core: slot %d assigned unknown advertiser %d", j, i)
+		}
+	}
+	for i, j := range res.SlotOf {
+		if j < -1 || j >= k {
+			return fmt.Errorf("core: advertiser %d assigned unknown slot %d", i, j)
+		}
 	}
 	for i := range payments {
 		payments[i] = 0
@@ -171,75 +189,59 @@ func (d *HeavyDeterminer) VCGPaymentsInto(h *HeavyAuction, res *Result, payments
 
 	// Every advertiser's realized value under res, conditional on the
 	// allocation's own heavyweight pattern.
+	job := d.job
 	pattern := heavyPattern(h.Advertisers, res.AdvOf)
-	baseOutcome := formula.Outcome{HeavySlots: pattern}
 	d.vals = growF(d.vals, n)
 	var total float64
 	for i := range h.Advertisers {
 		if j := res.SlotOf[i]; j >= 0 {
-			d.vals[i] = h.expectedPaymentPattern(i, j, pattern)
+			d.vals[i] = job.memo.expected(h, i, j, pattern)
 		} else {
-			d.vals[i] = h.Advertisers[i].Bids.Payment(baseOutcome)
+			d.vals[i] = job.memo.baseline(h, i, pattern)
 		}
 		total += d.vals[i]
 	}
 
-	for i := 0; i < n; i++ {
-		if res.SlotOf[i] < 0 {
-			continue // losers pay nothing under VCG
+	// Losers pay nothing under VCG. When every winner is a
+	// heavyweight, each counterfactual has one heavyweight fewer.
+	for a, i := range job.heavyIdx {
+		if res.SlotOf[i] >= 0 {
+			job.winners = append(job.winners, vcgWinner{adv: i, heavy: true, row: a})
 		}
-		withoutI, err := d.solveWithout(h, i)
-		if err != nil {
-			return err
+	}
+	lightWinners := false
+	for a, i := range job.lightIdx {
+		if res.SlotOf[i] >= 0 {
+			job.winners = append(job.winners, vcgWinner{adv: i, row: a})
+			lightWinners = true
 		}
-		p := withoutI - (total - d.vals[i])
+	}
+	if len(job.winners) == 0 {
+		return nil
+	}
+	if !lightWinners {
+		job.maxHeavySlots--
+	}
+	job.vcg = true
+	d.enumerate(h)
+
+	// Merge each winner's per-worker local bests under the same rule
+	// as DetermineInto.
+	for wi, w := range job.winners {
+		var best patternBest
+		for _, s := range d.solvers {
+			if c := s.cf[wi]; c.ok && c.beats(best) {
+				best = c
+			}
+		}
+		if !best.ok {
+			return fmt.Errorf("core: no consistent heavyweight pattern (internal error)")
+		}
+		p := best.rev - (total - d.vals[w.adv])
 		if p < 0 {
 			p = 0 // numerical guard; VCG payments are non-negative at optimum
 		}
-		payments[i] = p
+		payments[w.adv] = p
 	}
 	return nil
-}
-
-// solveWithout determines the optimal expected revenue of h with
-// advertiser skip removed, rebuilding the sub-auction in reused
-// buffers and solving it with a nested determiner.
-func (d *HeavyDeterminer) solveWithout(h *HeavyAuction, skip int) (float64, error) {
-	n := len(h.Advertisers)
-	d.subAdvs = d.subAdvs[:0]
-	d.subClick = d.subClick[:0]
-	d.subPurchase = d.subPurchase[:0]
-	d.subIsHeavy = d.subIsHeavy[:0]
-	for i := 0; i < n; i++ {
-		if i == skip {
-			continue
-		}
-		d.subAdvs = append(d.subAdvs, h.Advertisers[i])
-		d.subClick = append(d.subClick, h.Model.Base.Click[i])
-		d.subPurchase = append(d.subPurchase, h.Model.Base.Purchase[i])
-		if h.Model.IsHeavy != nil {
-			d.subIsHeavy = append(d.subIsHeavy, h.Model.IsHeavy[i])
-		}
-	}
-	isHeavy := d.subIsHeavy
-	if h.Model.IsHeavy == nil {
-		isHeavy = nil
-	}
-	d.subBase = probmodel.Model{Click: d.subClick, Purchase: d.subPurchase}
-	d.subModel = probmodel.HeavyModel{Base: &d.subBase, IsHeavy: isHeavy, Factor: h.Model.Factor}
-	d.subAuction = HeavyAuction{Slots: h.Slots, Advertisers: d.subAdvs, Model: &d.subModel}
-	if d.sub == nil {
-		// The nested determiner inherits the parent's parallelism:
-		// each counterfactual is a full 2^k enumeration, so VCG
-		// pricing benefits from the pool exactly as the primary solve
-		// does. Release cascades to it.
-		d.sub = NewHeavyDeterminerParallel(d.parallelism)
-	}
-	// The sub-auction struct is reused, so its pointer-keyed validation
-	// cache stays warm across winners and across calls: structural
-	// validation runs once per shape, not once per counterfactual.
-	if err := d.sub.DetermineInto(&d.subAuction, &d.subRes); err != nil {
-		return 0, err
-	}
-	return d.subRes.ExpectedRevenue, nil
 }

@@ -259,8 +259,8 @@ func TestVCGSteadyStateAllocs(t *testing.T) {
 
 // TestHeavyVCGSteadyStateAllocs: the most expressive configuration the
 // engine serves — heavyweight winner determination with Vickrey
-// pricing, one counterfactual 2^k enumeration per winner — also runs
-// allocation-free once warm.
+// pricing, every winner's counterfactual scored in one sweep over the
+// 2^k patterns — also runs allocation-free once warm.
 func TestHeavyVCGSteadyStateAllocs(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation accounting is perturbed under -race")

@@ -110,7 +110,7 @@ func TestMarketVCGMatchesCoreVCGPayments(t *testing.T) {
 // TestHeavyMarketVCGMatchesHeavyVCGPayments is the heavyweight leg:
 // a MethodHeavy market with Vickrey pricing must charge exactly what
 // core.HeavyAuction.VCGPayments computes on the equivalent snapshot
-// auction — counterfactual 2^k enumerations and all.
+// auction — the counterfactual pattern sweep and all.
 func TestHeavyMarketVCGMatchesHeavyVCGPayments(t *testing.T) {
 	inst := workload.GenerateHeavy(rand.New(rand.NewSource(173)), 25, 3, 4, 0.3, 0.4)
 	queries := inst.Queries(rand.New(rand.NewSource(174)), 250)
